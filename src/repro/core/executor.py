@@ -1,14 +1,16 @@
-"""Catalyst execution of generated queries + training-table augmentation.
+"""Catalyst execution of generated queries + Definition-3 augmentation.
 
 The relevant table is cached once as a temp view; every candidate query in
 the search loop is one ``spark.sql`` round-trip whose generated WHERE clause
 Catalyst pushes below the aggregation. Results (small per-key frames) are
 collected to pandas for the driver-side model training, and memoised by SQL
-text — TPE frequently revisits configurations.
+text — TPE frequently revisits configurations, and the cache is shared by
+every pool and run on the same context.
 
-``augment`` implements Definition 3 (training table LEFT JOIN query results)
-as a Spark DataFrame transformation, which is the path used to build the
-final augmented table.
+``merge_features`` implements Definition 3 (training table LEFT JOIN query
+results, absent groups filled with 0) on the driver-side split frames; it
+is the only augmentation path, used both in the search loop and for the
+final evaluation.
 """
 from __future__ import annotations
 
@@ -17,10 +19,16 @@ from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as fn
 
 from repro.core.space import Query
 from repro.core.sqlgen import build_sql
+
+#: Small-data search loop: fewer shuffle partitions = less per-task overhead
+#: per generated query (hundreds of queries per scenario). AQE still
+#: coalesces what remains.
+SHUFFLE_PARTITIONS = 4
+#: SQL-text result cache capacity (LRU)
+CACHE_CAP = 1024
 
 
 @dataclass
@@ -36,14 +44,10 @@ class FeatureFrame:
 class QueryExecutor:
     """Runs generated predicate-aware SQL over a cached relevant table."""
 
-    def __init__(self, spark: SparkSession, R: DataFrame, view: str,
-                 *, shuffle_partitions: int = 4, cache_cap: int = 1024):
+    def __init__(self, spark: SparkSession, R: DataFrame, view: str):
         self.spark = spark
         self.view = view
-        # Small-data search loop: fewer shuffle partitions and a coalesced
-        # cache = less per-task overhead per generated query (hundreds of
-        # queries per scenario). AQE still coalesces what remains.
-        spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
+        spark.conf.set("spark.sql.shuffle.partitions", str(SHUFFLE_PARTITIONS))
         n_rows = R.count()
         n_parts = max(1, min(R.rdd.getNumPartitions(), n_rows // 250_000 + 1))
         self.R = R.coalesce(n_parts).cache()
@@ -52,7 +56,6 @@ class QueryExecutor:
         self.n_queries = 0
         self.n_cache_hits = 0
         self._cache: OrderedDict[str, pd.DataFrame] = OrderedDict()
-        self._cache_cap = cache_cap
 
     def run_sql(self, sql: str) -> pd.DataFrame:
         """Execute SQL text (memoised) and return the result as pandas."""
@@ -63,7 +66,7 @@ class QueryExecutor:
         self.n_queries += 1
         pdf = self.spark.sql(sql).toPandas()
         self._cache[sql] = pdf
-        if len(self._cache) > self._cache_cap:
+        if len(self._cache) > CACHE_CAP:
             self._cache.popitem(last=False)
         return pdf
 
@@ -74,26 +77,15 @@ class QueryExecutor:
         pdf = pdf.rename(columns={"feature": name})
         return FeatureFrame(name=name, keys=q.keys, frame=pdf, sql=sql)
 
-    def augment(self, D: DataFrame, feats: list[FeatureFrame]) -> DataFrame:
-        """Definition 3 as Spark dataflow: left-join each q(R) into D."""
-        out = D
-        for f in feats:
-            qr = self.spark.createDataFrame(f.frame)
-            out = out.join(qr, on=list(f.keys), how="left")
-        # Absent groups (key never passed the predicate) contribute 0, the
-        # same fill the driver-side merge applies.
-        return out.na.fill({f.name: 0.0 for f in feats})
-
     def unpersist(self) -> None:
         self.R.unpersist()
         self.spark.catalog.dropTempView(self.view)
 
 
 def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> pd.DataFrame:
-    """Driver-side Definition-3 merge used inside the search loop.
+    """Definition 3: ``base`` LEFT JOIN each ``q(R)``, absent groups → 0.
 
-    Left-joins each feature frame on its (possibly subset) key columns and
-    fills absent groups with 0 — mirroring :meth:`QueryExecutor.augment`.
+    Each feature frame joins on its own (possibly subset) key columns.
     """
     out = base
     for f in feats:
@@ -103,10 +95,3 @@ def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> pd.DataFram
     if names:
         out[names] = out[names].astype(float).fillna(0.0)
     return out
-
-
-def weak_join_count(D: DataFrame, R: DataFrame, keys: list[str]) -> float:
-    """Average R rows per D key — sanity check that R is one-to-many."""
-    per_key = R.groupBy(*keys).agg(fn.count(fn.lit(1)).alias("c"))
-    row = D.join(per_key, on=keys, how="left").agg(fn.avg("c")).first()
-    return float(row[0]) if row[0] is not None else 0.0

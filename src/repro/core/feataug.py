@@ -98,21 +98,21 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     universe = tuple(bundle.where_attrs)
 
     stats: dict = {"proxy": proxy, "use_qti": use_qti, "use_warmup": use_warmup}
+    n_queries0 = ctx.executor.n_queries
+    searchers: dict[tuple, PoolSearcher] = {}
+    # combo → its best (config, −proxy) trials from QTI's node evaluation
+    node_best: dict[tuple, list] = {}
+
+    def get_searcher(combo) -> PoolSearcher:
+        combo = tuple(combo)
+        if combo not in searchers:
+            searchers[combo] = PoolSearcher(
+                ctx.space(combo), ctx.executor, evaluator, proxy_fn,
+                prefix=f"f{run_tag}t{len(searchers)}",
+            )
+        return searchers[combo]
 
     if use_qti:
-        searchers: dict[tuple, PoolSearcher] = {}
-
-        def get_searcher(combo) -> PoolSearcher:
-            combo = tuple(combo)
-            if combo not in searchers:
-                searchers[combo] = PoolSearcher(
-                    ctx.space(combo), ctx.executor, evaluator, proxy_fn,
-                    prefix=f"f{run_tag}t{len(searchers)}",
-                )
-            return searchers[combo]
-
-        node_best: dict[tuple, list] = {}
-
         def effectiveness(combo) -> float:
             # Optimization O1: short in-pool TPE search maximising the proxy
             # — the node's effectiveness estimate (best query's proxy value).
@@ -147,22 +147,15 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
         per_pool = budget.queries_per_template
     else:
         combos = [universe]
-        searchers = {}
-        get_searcher = lambda combo: searchers.setdefault(  # noqa: E731
-            tuple(combo),
-            PoolSearcher(ctx.space(combo), ctx.executor, evaluator, proxy_fn,
-                         prefix=f"f{run_tag}t{len(searchers)}"),
-        )
         per_pool = budget.n_features
 
     # SQL Query Generation per template (§V).
     chosen: list[tuple[FeatureFrame, float]] = []
     for i, combo in enumerate(combos):
-        s = get_searcher(combo)
-        warm = node_best.get(tuple(combo)) if use_qti else None
-        pairs, gen_stats = generate_queries(
-            s, budget, seed=seed + 101 * (i + 1),
-            use_warmup=use_warmup, top_m=per_pool, proxy_warm=warm,
+        pairs, _ = generate_queries(
+            get_searcher(combo), budget, seed=seed + 101 * (i + 1),
+            use_warmup=use_warmup, top_m=per_pool,
+            proxy_warm=node_best.get(tuple(combo)),
         )
         chosen.extend(pairs)
 
@@ -194,7 +187,7 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     result = evaluator.evaluate(feats)
     stats.update(
         n_features=len(feats),
-        n_spark_queries=ctx.executor.n_queries,
+        n_spark_queries=ctx.executor.n_queries - n_queries0,
         n_model_fits=evaluator.n_fits,
     )
     return FeatAugOutput(result=result, features=feats,

@@ -34,7 +34,11 @@ class GenerationStats:
 
 
 class PoolSearcher:
-    """Caches decode→execute→proxy/real-eval per config for one pool."""
+    """Decode→execute→proxy/real-eval per config for one pool.
+
+    Proxy scores and real losses are memoised per config; query results
+    are memoised by the executor's SQL-text cache.
+    """
 
     def __init__(self, space: QuerySpace, executor: QueryExecutor,
                  evaluator: DownstreamEvaluator, proxy_fn, *, prefix: str):
@@ -43,16 +47,12 @@ class PoolSearcher:
         self.evaluator = evaluator
         self.proxy_fn = proxy_fn
         self.prefix = prefix
-        self._frames: dict[tuple, FeatureFrame] = {}
         self._proxy: dict[tuple, float] = {}
         self._real: dict[tuple, float] = {}
 
     def frame(self, cfg: tuple) -> FeatureFrame:
-        if cfg not in self._frames:
-            q = self.space.decode(cfg)
-            name = f"{self.prefix}_{len(self._frames)}"
-            self._frames[cfg] = self.executor.feature_frame(q, name)
-        return self._frames[cfg]
+        name = f"{self.prefix}_" + "_".join(map(str, cfg))
+        return self.executor.feature_frame(self.space.decode(cfg), name)
 
     def proxy_score(self, cfg: tuple) -> float:
         """Higher = better; degenerate features score 0."""

@@ -47,15 +47,6 @@ class Query:
     predicates: tuple[Predicate, ...]
     keys: tuple[str, ...]
 
-    def short_name(self) -> str:
-        parts = [self.agg.lower(), self.agg_attr]
-        for p in self.predicates:
-            if p.kind == "eq":
-                parts.append(f"{p.attr}={p.value}")
-            else:
-                parts.append(f"{p.attr}∈[{p.lo},{p.hi}]")
-        return "__".join(str(x) for x in parts)
-
 
 @dataclass(frozen=True)
 class AttrDomain:

@@ -119,11 +119,3 @@ def build_sql(q: Query, table: str, dialect: str = "spark") -> str:
         )
     raise ValueError(f"unknown aggregation {q.agg!r}")
 
-
-def augment_sql(q: Query, d_table: str, r_result: str, feature_name: str = "feature") -> str:
-    """Definition 3: D LEFT JOIN q(R) on the selected key subset."""
-    on = " AND ".join(f"{d_table}.{k} = {r_result}.{k}" for k in q.keys)
-    return (
-        f"SELECT {d_table}.*, {r_result}.{feature_name} "
-        f"FROM {d_table} LEFT JOIN {r_result} ON {on}"
-    )

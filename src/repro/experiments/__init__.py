@@ -1,4 +1,4 @@
-"""Experiment harnesses — one module per paper table (see DESIGN.md §6).
+"""Experiment harnesses for the paper's tables (see DESIGN.md §6).
 
 Each ``run_tableN`` takes the session SparkSession, runs the table's grid,
 returns a tidy pandas DataFrame, writes ``results/tableN.csv`` and prints a
@@ -11,12 +11,9 @@ from repro.experiments.harness import (
     results_dir,
     save_and_print,
 )
+from repro.experiments.grids import run_table3, run_table6, run_table7, run_table8
 from repro.experiments.table1_2 import table1_rows, table2_rows
-from repro.experiments.table3 import run_table3
 from repro.experiments.table4_5 import table4_rows, table5_rows
-from repro.experiments.table6 import run_table6
-from repro.experiments.table7 import run_table7
-from repro.experiments.table8 import run_table8
 
 __all__ = [
     "DEFAULT_SCALE", "budget_from_env", "results_dir", "save_and_print",

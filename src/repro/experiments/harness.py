@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pandas as pd
 
-from repro.baselines import featuretools_features, run_random
+from repro.baselines import (
+    featuretools_features,
+    run_arda,
+    run_autofeature,
+    run_random,
+)
 from repro.core.config import BENCH, BudgetProfile
 from repro.core.feataug import DatasetContext, run_feataug
 from repro.models.metrics import metric_name
@@ -17,9 +22,17 @@ from repro.selectors import NotApplicableError, select
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.6"))
 DEFAULT_SEED = int(os.environ.get("REPRO_SEED", "0"))
 
-#: Featuretools + 7 selectors + Random + FeatAug (paper Table III rows)
-TABLE3_METHODS = ("FT", "FT+LR", "FT+GBDT", "FT+MI", "FT+Chi2", "FT+Gini",
-                  "FT+Forward", "FT+Backward", "Random", "FeatAug")
+#: low-cost proxies of the Table VIII sweep
+PROXIES = ("SC", "MI", "LR")
+#: FeatAug method name → run_feataug kwargs: the Table VII ablations and
+#: the Table VIII proxies
+FEATAUG_VARIANTS = {
+    "FeatAug": {},
+    "FeatAug(Full)": {},
+    "FeatAug(NoQTI)": {"use_qti": False},
+    "FeatAug(NoWU)": {"use_warmup": False},
+    **{f"FeatAug({p})": {"proxy": p} for p in PROXIES},
+}
 
 
 def budget_from_env(base: BudgetProfile = BENCH) -> BudgetProfile:
@@ -56,7 +69,7 @@ def save_and_print(df: pd.DataFrame, name: str) -> pd.DataFrame:
 
 def run_method(method: str, ctx: DatasetContext, pool, model: str, *,
                seed: int = 0) -> dict:
-    """Run one Table-III/VI method for one (dataset, model) scenario.
+    """Run one paper-table method for one (dataset, model) scenario.
 
     Returns {method, dataset, model, metric, value, seconds}; ``value`` is
     NaN when the selector is undefined for the task (paper's "-").
@@ -74,8 +87,14 @@ def run_method(method: str, ctx: DatasetContext, pool, model: str, *,
             value = ev.evaluate(chosen).test_metric
         elif method == "Random":
             value = run_random(ctx, model, seed=seed).result.test_metric
-        elif method == "FeatAug":
-            value = run_feataug(ctx, model, seed=seed).result.test_metric
+        elif method in FEATAUG_VARIANTS:
+            out = run_feataug(ctx, model, seed=seed, **FEATAUG_VARIANTS[method])
+            value = out.result.test_metric
+        elif method == "ARDA":
+            value = run_arda(ctx, model, seed=seed).result.test_metric
+        elif method.startswith("AutoFeat-"):
+            value = run_autofeature(ctx, model, mode=method.split("-")[1],
+                                    seed=seed).result.test_metric
         else:
             raise ValueError(f"unknown method {method!r}")
     except NotApplicableError:
@@ -97,3 +116,19 @@ def build_context(spark, gen, *, scale: float, budget: BudgetProfile,
     ctx = DatasetContext(spark, bundle, budget, seed=seed)
     pool = featuretools_features(ctx.executor, bundle)
     return ctx, pool
+
+
+def run_grid(spark, gens: dict, name: str, *, scale: float,
+             budget: BudgetProfile, seed: int, datasets, models, methods,
+             save: bool) -> pd.DataFrame:
+    """datasets × models × methods; writes results/<name>.csv if ``save``."""
+    rows = []
+    for ds in datasets:
+        ctx, pool = build_context(spark, gens[ds], scale=scale,
+                                  budget=budget, seed=seed)
+        for model in models:
+            for method in methods:
+                rows.append(run_method(method, ctx, pool, model, seed=seed))
+        ctx.close()
+    df = pd.DataFrame(rows)
+    return save_and_print(df, name) if save else df

@@ -1,9 +1,10 @@
-"""QueryExecutor: Catalyst execution, memoisation, Definition-3 augmentation."""
+"""QueryExecutor: Catalyst execution and memoisation; Definition-3 merge."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
-import pytest
 
-from repro.core.executor import weak_join_count
+from repro.core.executor import merge_features
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.oracle import assert_equivalent
@@ -57,39 +58,44 @@ class TestMemoisation:
 
 
 class TestAugment:
-    def test_definition3_matches_oracle(self, spark, lineitem_executor, lineitem_small):
-        """executor.augment == the paper's Definition-3 SQL run on DuckDB."""
-        from repro import synth_data
-        orders = synth_data.orders(spark, sf=0.001, seed=1)
-        q = Query("AVG", "l_extendedprice",
-                  (Predicate("l_quantity", "range", "number", lo=10),),
-                  ("l_orderkey",))
-        f = lineitem_executor.feature_frame(q, "feature")
-        D = orders.select("o_orderkey", "o_totalprice") \
-                  .withColumnRenamed("o_orderkey", "l_orderkey")
-        aug = lineitem_executor.augment(D, [f])
-        inner = build_sql(q, "li", "duckdb")
-        oracle_sql = (
-            f"WITH qr AS ({inner}) "
-            "SELECT d.l_orderkey AS l_orderkey, d.o_totalprice AS o_totalprice, "
-            "COALESCE(qr.feature, 0.0) AS feature "
-            "FROM d LEFT JOIN qr ON d.l_orderkey = qr.l_orderkey"
-        )
-        assert_equivalent(aug, oracle_sql, d=D, li=lineitem_small)
+    """merge_features is Definition 3: D LEFT JOIN q(R), absent groups → 0."""
 
-    def test_missing_groups_filled_zero(self, spark, lineitem_executor):
+    def test_definition3_matches_oracle(self, lineitem_executor, lineitem_small):
+        # D keyed by the composite (l_orderkey, l_linenumber); one feature
+        # joins on the full key, one on the subset (l_orderkey,), and D
+        # holds a key that no q(R) row has.
+        pdf = lineitem_small.toPandas()
+        D = pdf[["l_orderkey", "l_linenumber"]].drop_duplicates().head(200)
+        missing = int(pdf["l_orderkey"].max()) + 10_000
+        D = pd.concat([D, pd.DataFrame({"l_orderkey": [missing], "l_linenumber": [1]})],
+                      ignore_index=True)
+        D["base"] = np.arange(len(D), dtype=float)
+        q_full = Query("AVG", "l_extendedprice",
+                       (Predicate("l_quantity", "range", "number", lo=10),),
+                       ("l_orderkey", "l_linenumber"))
+        q_sub = Query("COUNT", "l_quantity",
+                      (Predicate("l_returnflag", "eq", "string", value="N"),),
+                      ("l_orderkey",))
+        feats = [lineitem_executor.feature_frame(q_full, "f_full"),
+                 lineitem_executor.feature_frame(q_sub, "f_sub")]
+        merged = merge_features(D, feats)
+        oracle_sql = (
+            f"WITH q1 AS ({build_sql(q_full, 'li', 'duckdb')}), "
+            f"q2 AS ({build_sql(q_sub, 'li', 'duckdb')}) "
+            "SELECT d.l_orderkey, d.l_linenumber, d.base, "
+            "COALESCE(q1.feature, 0) AS f_full, COALESCE(q2.feature, 0) AS f_sub "
+            "FROM d LEFT JOIN q1 ON d.l_orderkey = q1.l_orderkey "
+            "AND d.l_linenumber = q1.l_linenumber "
+            "LEFT JOIN q2 ON d.l_orderkey = q2.l_orderkey"
+        )
+        assert_equivalent(SimpleNamespace(toPandas=lambda: merged), oracle_sql,
+                          d=D, li=lineitem_small)
+
+    def test_missing_groups_filled_zero(self, lineitem_executor):
         q = Query("COUNT", "l_quantity",
                   (Predicate("l_returnflag", "eq", "string", value="N"),),
                   ("l_orderkey",))
         f = lineitem_executor.feature_frame(q, "cnt_n")
         missing_key = int(f.frame["l_orderkey"].max()) + 10_000
-        D = spark.createDataFrame(pd.DataFrame({"l_orderkey": [missing_key]}))
-        row = lineitem_executor.augment(D, [f]).collect()[0]
-        assert row["cnt_n"] == 0.0
-
-
-class TestWeakJoinCount:
-    def test_one_to_many_average(self, spark):
-        D = spark.createDataFrame(pd.DataFrame({"k": [1, 2]}))
-        R = spark.createDataFrame(pd.DataFrame({"k": [1, 1, 1, 2], "v": range(4)}))
-        assert weak_join_count(D, R, ["k"]) == pytest.approx(2.0)
+        D = pd.DataFrame({"l_orderkey": [missing_key]})
+        assert merge_features(D, [f])["cnt_n"].tolist() == [0.0]

@@ -30,6 +30,7 @@ class TestFullRun:
         again = run_feataug(tmall_ctx, "LR", seed=0)
         assert again.result.test_metric == full.result.test_metric
         assert [f.sql for f in again.features] == [f.sql for f in full.features]
+        assert again.stats["n_spark_queries"] == 0  # all served by the SQL cache
 
 
 class TestAblations:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.qti import TemplatePredictor, identify_templates
 from repro.core.config import TINY
 from repro.core.space import Predicate, Query
-from repro.core.sqlgen import augment_sql, build_sql, literal, predicate_sql, where_sql
+from repro.core.sqlgen import build_sql, literal, predicate_sql, where_sql
 from repro.core.template import PAPER_AGGS, QueryTemplate, one_hot, template_count
 
 
@@ -122,16 +122,6 @@ class TestBuildSQL:
             build_sql(Query("FOO", "a", (), ("k",)), "R")
         with pytest.raises(ValueError):
             build_sql(_q("SUM"), "R", dialect="mysql")
-
-    def test_augment_sql_definition3(self):
-        q = Query("AVG", "a", (), ("cname",))
-        sql = augment_sql(q, "D", "QR")
-        assert sql == ("SELECT D.*, QR.feature FROM D LEFT JOIN QR "
-                       "ON D.cname = QR.cname")
-
-    def test_query_short_name(self):
-        q = _q("SUM", [Predicate("d", "eq", "string", value="x")])
-        assert "sum" in q.short_name() and "d=x" in q.short_name()
 
 
 class TestQTIPure:

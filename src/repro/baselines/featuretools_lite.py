@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from repro.core.executor import FeatureFrame, QueryExecutor
 from repro.core.space import Query
-from repro.core.sqlgen import _SIMPLE
+from repro.core.sqlgen import SIMPLE_AGGS
 from repro.datasets.base import DatasetBundle
-
-#: functions computable in the single wide pass (Spark builtins)
-_WIDE = dict(_SIMPLE, KURTOSIS="KURTOSIS({a})")
 
 
 def ft_name(agg: str, attr: str) -> str:
@@ -33,9 +30,9 @@ def featuretools_features(executor: QueryExecutor, bundle: DatasetBundle
     keys = list(bundle.keys)
     wide_cols = []
     for agg in bundle.aggs:
-        if agg in _WIDE:
+        if agg in SIMPLE_AGGS:
             for a in bundle.agg_attrs:
-                wide_cols.append((agg, a, _WIDE[agg].format(a=a)))
+                wide_cols.append((agg, a, SIMPLE_AGGS[agg].format(a=a)))
     select = ", ".join(f"{expr} AS {ft_name(agg, a)}" for agg, a, expr in wide_cols)
     sql = (f"SELECT {', '.join(keys)}, {select} "
            f"FROM {executor.view} GROUP BY {', '.join(keys)}")

@@ -7,9 +7,11 @@ downstream model on the augmented train split and measuring validation
 reporting.
 
 The split frames live driver-side (the training table is small; the heavy
-table is the relevant one, which stays in Spark): each evaluation merges the
-per-key feature frames produced by generated Spark SQL queries into the
-splits and trains a fresh, seeded numpy model.
+table is the relevant one, which stays in Spark). ``DownstreamEvaluator.features``
+is the one place that turns per-key feature frames into row-aligned numpy
+columns of a split (Definition 3, through ``merge_features``); the search
+loop, the proxies, the selectors and the baselines all read features through
+it. Each evaluation then trains a fresh, seeded numpy model.
 """
 from __future__ import annotations
 
@@ -23,8 +25,12 @@ from repro.models import make_model
 from repro.models.metrics import task_loss, task_metric
 
 
-def _clean(X: np.ndarray) -> np.ndarray:
-    """NaN → 0 (absent group), ±inf → clamped (degenerate aggregates)."""
+def clean(X: np.ndarray) -> np.ndarray:
+    """A model's input: NaN → 0, ±inf → ±1e12 (degenerate aggregates).
+
+    The only place inf is clamped, right before a fit; the proxies see the
+    unclamped Definition-3 block (MI bins non-finite values on their own).
+    """
     return np.nan_to_num(X, nan=0.0, posinf=1e12, neginf=-1e12)
 
 
@@ -39,6 +45,14 @@ class TableSplits:
     base_features: tuple[str, ...]
     task: str
     label: str = "label"
+
+    def labels(self, part: str) -> np.ndarray:
+        """The label column of split ``part`` ("train", "valid" or "test")."""
+        return getattr(self, part)[self.label].to_numpy()
+
+    def base(self, part: str) -> np.ndarray:
+        """The base-feature block of split ``part``."""
+        return getattr(self, part)[list(self.base_features)].to_numpy(dtype=float)
 
 
 def make_splits(D: pd.DataFrame, keys, base_features, task: str, *,
@@ -79,33 +93,34 @@ class DownstreamEvaluator:
         self.seed = seed
         self.n_fits = 0
 
-    def _matrix(self, split: pd.DataFrame, feats: list[FeatureFrame]) -> np.ndarray:
-        merged = merge_features(split, feats)
-        cols = [*self.splits.base_features, *[f.name for f in feats]]
-        return merged[cols].to_numpy(dtype=float)
+    def features(self, part: str, feats: list[FeatureFrame]) -> np.ndarray:
+        """Definition-3 block of split ``part``: one column per feature,
+        absent groups and NULL values 0.0, ±inf left as is."""
+        return merge_features(getattr(self.splits, part), feats)
+
+    def design(self, part: str, feats: list[FeatureFrame]) -> np.ndarray:
+        """A model's input on split ``part``: base features, then ``feats``,
+        column-major like the blocks it is stacked from."""
+        X = np.hstack([self.splits.base(part), self.features(part, feats)])
+        return clean(np.asfortranarray(X))
 
     def _fit(self, feats: list[FeatureFrame]):
-        X = self._matrix(self.splits.train, feats)
-        y = self.splits.train[self.splits.label].to_numpy()
         model = make_model(self.model_name, self.splits.task, seed=self.seed)
-        model.fit(_clean(X), y)
+        model.fit(self.design("train", feats), self.splits.labels("train"))
         self.n_fits += 1
         return model
 
     def valid_loss(self, feats: list[FeatureFrame]) -> float:
         """L(A(D^q_train), D^q_valid) — the search objective (Problem 1)."""
         model = self._fit(feats)
-        Xv = _clean(self._matrix(self.splits.valid, feats))
-        yv = self.splits.valid[self.splits.label].to_numpy()
-        return task_loss(self.splits.task, yv, model, Xv)
+        return task_loss(self.splits.task, self.splits.labels("valid"), model,
+                         self.design("valid", feats))
 
     def evaluate(self, feats: list[FeatureFrame]) -> EvalResult:
         """Full report: valid loss/metric + held-out test metric."""
         model = self._fit(feats)
-        Xv = _clean(self._matrix(self.splits.valid, feats))
-        yv = self.splits.valid[self.splits.label].to_numpy()
-        Xt = _clean(self._matrix(self.splits.test, feats))
-        yt = self.splits.test[self.splits.label].to_numpy()
+        Xv, yv = self.design("valid", feats), self.splits.labels("valid")
+        Xt, yt = self.design("test", feats), self.splits.labels("test")
         return EvalResult(
             valid_loss=task_loss(self.splits.task, yv, model, Xv),
             valid_metric=task_metric(self.splits.task, yv, model, Xv),
@@ -113,12 +128,3 @@ class DownstreamEvaluator:
             n_features=len(feats),
             feature_names=tuple(f.name for f in feats),
         )
-
-    # -- helpers for proxies -------------------------------------------------
-    def train_labels(self) -> np.ndarray:
-        return self.splits.train[self.splits.label].to_numpy()
-
-    def feature_on(self, split: pd.DataFrame, f: FeatureFrame) -> np.ndarray:
-        """The candidate feature aligned to a split's rows (NaN-filled 0)."""
-        merged = merge_features(split, [f])
-        return merged[f.name].to_numpy(dtype=float)

@@ -8,15 +8,16 @@ text — TPE frequently revisits configurations, and the cache is shared by
 every pool and run on the same context.
 
 ``merge_features`` implements Definition 3 (training table LEFT JOIN query
-results, absent groups filled with 0) on the driver-side split frames; it
-is the only augmentation path, used both in the search loop and for the
-final evaluation.
+results, absent groups filled with 0) on the driver-side split frames. It
+is the only augmentation path; ``DownstreamEvaluator.features`` is its one
+caller.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -82,16 +83,18 @@ class QueryExecutor:
         self.spark.catalog.dropTempView(self.view)
 
 
-def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> pd.DataFrame:
+def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> np.ndarray:
     """Definition 3: ``base`` LEFT JOIN each ``q(R)``, absent groups → 0.
 
-    Each feature frame joins on its own (possibly subset) key columns.
+    Returns the float block of the joined feature columns, one row per
+    ``base`` row in its order, column-major (each feature contiguous). Each
+    feature joins on its own (possibly subset) key columns; NULL values read
+    0 like absent groups, ±inf stay.
     """
-    out = base
-    for f in feats:
-        cols = [*f.keys, f.name]
-        out = out.merge(f.frame[cols], on=list(f.keys), how="left")
-    names = [f.name for f in feats]
-    if names:
-        out[names] = out[names].astype(float).fillna(0.0)
+    out = np.empty((len(base), len(feats)), order="F")
+    for j, f in enumerate(feats):
+        keys = list(f.keys)
+        col = base[keys].merge(f.frame[[*keys, f.name]], on=keys, how="left")[f.name]
+        out[:, j] = col.to_numpy(dtype=float, na_value=np.nan)
+    out[np.isnan(out)] = 0.0
     return out

@@ -60,10 +60,8 @@ class DatasetContext:
 
     def proxy(self, name: str, *, seed: int = 0):
         s = self.splits
-        base_X = s.train[list(s.base_features)].to_numpy(dtype=float)
-        Xv = s.valid[list(s.base_features)].to_numpy(dtype=float)
-        return make_proxy(name, task=s.task, base_X=base_X,
-                          X_valid_base=Xv, y_valid=s.valid[s.label].to_numpy(),
+        return make_proxy(name, task=s.task, base_X=s.base("train"),
+                          X_valid_base=s.base("valid"), y_valid=s.labels("valid"),
                           seed=seed)
 
     def close(self) -> None:
@@ -167,11 +165,11 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     feats: list[FeatureFrame] = []
     seen_sql: set[str] = set()
     kept_cols: list[np.ndarray] = []
-    train = evaluator.splits.train
-    for f, _ in chosen:
+    cols = evaluator.features("train", [f for f, _ in chosen])
+    for j, (f, _) in enumerate(chosen):
         if f.sql in seen_sql:
             continue
-        col = evaluator.feature_on(train, f)
+        col = cols[:, j]
         sd = col.std()
         if sd < 1e-12:
             continue  # constant feature

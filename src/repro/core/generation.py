@@ -16,7 +16,7 @@ evaluations to the baseline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import BudgetProfile
 from repro.core.evaluator import DownstreamEvaluator
@@ -29,8 +29,6 @@ from repro.core.tpe import run_tpe
 class GenerationStats:
     n_proxy_evals: int = 0
     n_real_evals: int = 0
-    best_loss: float = float("inf")
-    trials: list = field(default_factory=list)
 
 
 class PoolSearcher:
@@ -57,11 +55,10 @@ class PoolSearcher:
     def proxy_score(self, cfg: tuple) -> float:
         """Higher = better; degenerate features score 0."""
         if cfg not in self._proxy:
-            f = self.frame(cfg)
-            x = self.evaluator.feature_on(self.evaluator.splits.train, f)
-            xv = self.evaluator.feature_on(self.evaluator.splits.valid, f)
-            y = self.evaluator.train_labels()
-            self._proxy[cfg] = float(self.proxy_fn(x, y, xv))
+            f, ev = [self.frame(cfg)], self.evaluator
+            self._proxy[cfg] = float(self.proxy_fn(
+                ev.features("train", f)[:, 0], ev.splits.labels("train"),
+                ev.features("valid", f)[:, 0]))
         return self._proxy[cfg]
 
     def real_loss(self, cfg: tuple) -> float:
@@ -90,7 +87,6 @@ def generate_queries(searcher: PoolSearcher, budget: BudgetProfile, *, seed: int
     """
     top_m = top_m if top_m is not None else budget.queries_per_template
     shape = searcher.space.shape
-    stats = GenerationStats()
 
     if use_warmup:
         # Round 1: maximise the proxy (negate — run_tpe minimises).
@@ -112,14 +108,12 @@ def generate_queries(searcher: PoolSearcher, budget: BudgetProfile, *, seed: int
         trials = run_tpe(searcher.real_loss, shape,
                          budget.warmup_topk + budget.gen_iters, seed=seed + 1)
 
-    stats.n_proxy_evals = searcher.n_proxy
-    stats.n_real_evals = searcher.n_real
-    stats.trials = trials
+    stats = GenerationStats(n_proxy_evals=searcher.n_proxy,
+                            n_real_evals=searcher.n_real)
 
     # Rank all real-evaluated configs (deduped) by validation loss.
     best: dict[tuple, float] = {}
     for cfg, loss in trials:
         best[cfg] = min(loss, best.get(cfg, float("inf")))
     ranked = sorted(best.items(), key=lambda t: t[1])[:top_m]
-    stats.best_loss = ranked[0][1] if ranked else float("inf")
     return [(searcher.frame(cfg), loss) for cfg, loss in ranked], stats

@@ -16,8 +16,12 @@ import numpy as np
 import pandas as pd
 
 
+#: quantile bins per column for MI (and the Chi2 selector's contingency table)
+N_BINS = 8
+
+
 def _bin_feature(x: np.ndarray, n_bins: int) -> np.ndarray:
-    """Quantile-bin a float column; NaNs become their own bin id."""
+    """Quantile-bin a float column; non-finite values become their own bin id."""
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, -1, dtype=int)
     ok = np.isfinite(x)
@@ -29,12 +33,11 @@ def _bin_feature(x: np.ndarray, n_bins: int) -> np.ndarray:
     return out
 
 
-def mutual_information(x: np.ndarray, y: np.ndarray, *, task: str = "binary",
-                       n_bins: int = 8) -> float:
+def mutual_information(x: np.ndarray, y: np.ndarray, *, task: str = "binary") -> float:
     """I(X;Y) in bits from the joint histogram of binned X and (binned) Y."""
-    bx = _bin_feature(x, n_bins)
+    bx = _bin_feature(x, N_BINS)
     if task == "regression":
-        by = _bin_feature(np.asarray(y, dtype=float), n_bins)
+        by = _bin_feature(np.asarray(y, dtype=float), N_BINS)
     else:
         _, by = np.unique(np.asarray(y), return_inverse=True)
     n = bx.size

@@ -8,8 +8,9 @@ The generated text is the paper's canonical shape (Definition 2):
     WHERE pred(p1) AND ... AND pred(pw)
     GROUP BY k
 
-Most of the 15 aggregation functions map to builtins shared by Spark SQL and
-DuckDB; three need special handling:
+Thirteen of the 15 aggregation functions are Spark builtins
+(``SIMPLE_AGGS``, also the Featuretools baseline's wide pass); two need
+special handling, and one differs by dialect:
 
 - ``ENTROPY`` (base-2 Shannon entropy of the value distribution inside each
   group) and ``MAD`` (median absolute deviation) have no Spark builtin and
@@ -18,13 +19,17 @@ DuckDB; three need special handling:
   (m4/m2² − 3) while DuckDB's is the sample-adjusted estimator, so the
   DuckDB dialect renders the population formula explicitly — this is what
   lets the oracle tests pin Spark's semantics exactly.
+
+Statements are joined from their clauses, never edited as text afterwards,
+so string literals reach the engine exactly as :func:`literal` wrote them.
 """
 from __future__ import annotations
 
 from repro.core.space import Predicate, Query
 
-#: agg-name → SQL expression template, identical in Spark SQL and DuckDB
-_SIMPLE = {
+#: agg-name → Spark SQL expression template of the one-pass aggregates; all
+#: but KURTOSIS mean the same in DuckDB
+SIMPLE_AGGS = {
     "SUM": "SUM({a})",
     "MIN": "MIN({a})",
     "MAX": "MAX({a})",
@@ -37,6 +42,7 @@ _SIMPLE = {
     "STD_SAMPLE": "STDDEV_SAMP({a})",
     "MEDIAN": "MEDIAN({a})",
     "MODE": "MODE({a})",
+    "KURTOSIS": "KURTOSIS({a})",
 }
 
 
@@ -98,24 +104,20 @@ def build_sql(q: Query, table: str, dialect: str = "spark") -> str:
     """Render ``q`` against ``table``; ``dialect`` ∈ {"spark", "duckdb"}."""
     if dialect not in ("spark", "duckdb"):
         raise ValueError(f"unknown dialect {dialect!r}")
-    if q.agg in _SIMPLE:
-        keys = ", ".join(q.keys)
-        expr = _SIMPLE[q.agg].format(a=q.agg_attr)
-        w = where_sql(q)
-        return f"SELECT {keys}, {expr} AS feature FROM {table} {w} GROUP BY {keys}".replace("  ", " ")
-    if q.agg == "ENTROPY":
-        return _entropy_sql(q, table)
-    if q.agg == "MAD":
-        return _two_level(q, table, "MEDIAN(v)", "MEDIAN(ABS(v - s))")
-    if q.agg == "KURTOSIS":
-        if dialect == "spark":
-            keys = ", ".join(q.keys)
-            w = where_sql(q)
-            return f"SELECT {keys}, KURTOSIS({q.agg_attr}) AS feature FROM {table} {w} GROUP BY {keys}".replace("  ", " ")
-        # DuckDB: population excess kurtosis m4/m2^2 - 3 (Spark semantics)
+    if q.agg == "KURTOSIS" and dialect == "duckdb":
+        # population excess kurtosis m4/m2^2 - 3 (Spark semantics)
         return _two_level(
             q, table, "AVG(v)",
             "(SUM(POW(v - s, 4)) / COUNT(*)) / POW(SUM(POW(v - s, 2)) / COUNT(*), 2) - 3",
         )
+    if q.agg in SIMPLE_AGGS:
+        keys = ", ".join(q.keys)
+        expr = SIMPLE_AGGS[q.agg].format(a=q.agg_attr)
+        clauses = [f"SELECT {keys}, {expr} AS feature FROM {table}",
+                   where_sql(q), f"GROUP BY {keys}"]
+        return " ".join(c for c in clauses if c)
+    if q.agg == "ENTROPY":
+        return _entropy_sql(q, table)
+    if q.agg == "MAD":
+        return _two_level(q, table, "MEDIAN(v)", "MEDIAN(ABS(v - s))")
     raise ValueError(f"unknown aggregation {q.agg!r}")
-

@@ -8,11 +8,11 @@ finite domain (§V-A / Example 10).
 Mechanics per ``suggest`` call, given the observation history (config tuple,
 loss to *minimise*):
 
-1. split observations into "good" (best ``γ`` quantile, the paper's
+1. split observations into "good" (best ``GAMMA`` quantile, the paper's
    10–15%) and "bad";
 2. per dimension, build smoothed count densities ``Pg`` / ``Pb`` (Laplace
-   prior = uniform Parzen prior over the options);
-3. draw ``n_candidates`` configs from ``Pg`` and keep the one maximising
+   ``PRIOR`` = uniform Parzen prior over the options);
+3. draw ``N_CANDIDATES`` configs from ``Pg`` and keep the one maximising
    ``Σ log Pg − log Pb`` — the Expected-Improvement surrogate being the
    density ratio — preferring configurations not yet evaluated.
 
@@ -28,23 +28,26 @@ import numpy as np
 Config = tuple[int, ...]
 Trial = tuple[Config, float]
 
+#: share of observations that are "good"
+GAMMA = 0.15
+#: candidates drawn from Pg per suggestion
+N_CANDIDATES = 24
+#: Laplace pseudo-count per option
+PRIOR = 1.0
+
 
 class TPE:
-    def __init__(self, shape: tuple[int, ...], *, seed: int = 0, gamma: float = 0.15,
-                 n_candidates: int = 24, n_startup: int = 6, prior: float = 1.0):
+    def __init__(self, shape: tuple[int, ...], *, seed: int = 0, n_startup: int = 6):
         if any(s < 1 for s in shape):
             raise ValueError("every dimension needs at least one option")
         self.shape = shape
-        self.gamma = gamma
-        self.n_candidates = n_candidates
         self.n_startup = n_startup
-        self.prior = prior
         self.rng = np.random.default_rng(seed)
 
     # -- densities ----------------------------------------------------------
     def _density(self, configs: list[Config], dim: int) -> np.ndarray:
         k = self.shape[dim]
-        counts = np.full(k, self.prior)
+        counts = np.full(k, PRIOR)
         for c in configs:
             counts[c[dim]] += 1.0
         return counts / counts.sum()
@@ -62,7 +65,7 @@ class TPE:
                     return c
             return self._random()
         order = sorted(trials, key=lambda t: t[1])
-        n_good = max(1, math.ceil(self.gamma * len(order)))
+        n_good = max(1, math.ceil(GAMMA * len(order)))
         good = [c for c, _ in order[:n_good]]
         bad = [c for c, _ in order[n_good:]] or good
         pg = [self._density(good, d) for d in range(len(self.shape))]
@@ -71,7 +74,7 @@ class TPE:
 
         best, best_score = None, -np.inf
         fallback, fallback_score = None, -np.inf
-        for _ in range(self.n_candidates):
+        for _ in range(N_CANDIDATES):
             c = tuple(
                 int(self.rng.choice(self.shape[d], p=pg[d]))
                 for d in range(len(self.shape))
@@ -91,7 +94,7 @@ class TPE:
 
 
 def run_tpe(objective, shape: tuple[int, ...], n_iters: int, *, seed: int = 0,
-            warm_start: list[Trial] | None = None, gamma: float = 0.15,
+            warm_start: list[Trial] | None = None,
             n_startup: int = 6) -> list[Trial]:
     """Drive a TPE loop: ``objective(config) -> loss`` (lower is better).
 
@@ -99,7 +102,7 @@ def run_tpe(objective, shape: tuple[int, ...], n_iters: int, *, seed: int = 0,
     Objective values that are NaN are recorded as +inf so broken
     configurations (e.g. degenerate queries) are never "good".
     """
-    tpe = TPE(shape, seed=seed, gamma=gamma, n_startup=n_startup)
+    tpe = TPE(shape, seed=seed, n_startup=n_startup)
     trials: list[Trial] = list(warm_start or [])
     for _ in range(n_iters):
         cfg = tpe.suggest(trials)

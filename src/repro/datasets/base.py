@@ -14,15 +14,14 @@ from repro.core.template import PAPER_AGGS
 class DatasetBundle:
     """A training table D, a relevant table R, and template ingredients.
 
-    ``D``/``R`` are Spark DataFrames (the dataflow side); ``D_pandas`` is the
-    driver-side copy of the small training table used by the evaluator.
+    ``R`` is a Spark DataFrame (the dataflow side); ``D_pandas`` is the
+    small training table, kept driver-side for the evaluator.
     ``where_attrs`` is the paper's "# of attr" candidate set for WHERE
     clauses, ``agg_attrs`` its "A" aggregation attributes, ``keys`` the
     group-by/foreign keys "K".
     """
 
     name: str
-    D: DataFrame
     R: DataFrame
     D_pandas: pd.DataFrame
     keys: tuple[str, ...]

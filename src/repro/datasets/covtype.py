@@ -66,7 +66,6 @@ def covtype(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datase
             "h_dist_road", "hillshade_9am", "hillshade_noon", "soil_type")
     return DatasetBundle(
         name="Covtype",
-        D=to_spark(spark, D),
         R=to_spark(spark, R),
         D_pandas=D,
         keys=("data_index",),

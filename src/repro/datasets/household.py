@@ -91,7 +91,6 @@ def household(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Data
 
     return DatasetBundle(
         name="Household",
-        D=to_spark(spark, D),
         R=to_spark(spark, R),
         D_pandas=D,
         keys=("data_index",),

@@ -72,7 +72,6 @@ def instacart(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Data
 
     return DatasetBundle(
         name="Instacart",
-        D=to_spark(spark, D),
         R=to_spark(spark, R),
         D_pandas=D,
         keys=("user_id",),

@@ -68,7 +68,6 @@ def merchant(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datas
 
     return DatasetBundle(
         name="Merchant",
-        D=to_spark(spark, D),
         R=to_spark(spark, R),
         D_pandas=D,
         keys=("merchant_id",),

@@ -65,7 +65,6 @@ def student(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datase
 
     return DatasetBundle(
         name="Student",
-        D=to_spark(spark, D),
         R=to_spark(spark, R),
         D_pandas=D,
         keys=("session_id",),

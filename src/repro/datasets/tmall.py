@@ -80,7 +80,6 @@ def tmall(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> DatasetB
 
     return DatasetBundle(
         name="Tmall",
-        D=to_spark(spark, D),
         R=to_spark(spark, R),
         D_pandas=D,
         keys=("user_id", "merchant_id"),

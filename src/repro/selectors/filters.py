@@ -10,36 +10,35 @@ import numpy as np
 
 from repro.core.evaluator import DownstreamEvaluator
 from repro.core.executor import FeatureFrame
-from repro.core.proxy import _bin_feature, mutual_information
+from repro.core.proxy import N_BINS, _bin_feature, mutual_information
+
+#: quantile thresholds tried per feature by the Gini selector
+GINI_THRESHOLDS = 16
 
 
 class NotApplicableError(ValueError):
     """Selector undefined for this task (e.g. Chi2 on regression)."""
 
 
-def _train_xy(pool: list[FeatureFrame], evaluator: DownstreamEvaluator):
-    tr = evaluator.splits.train
-    X = np.column_stack([evaluator.feature_on(tr, f) for f in pool])
-    y = tr[evaluator.splits.label].to_numpy()
-    return X, y
-
-
-def _top(pool: list[FeatureFrame], scores: np.ndarray, n: int) -> list[FeatureFrame]:
+def _top(pool: list[FeatureFrame], evaluator: DownstreamEvaluator, score,
+         n: int) -> list[FeatureFrame]:
+    """The ``n`` pooled features with the highest ``score(x, y)`` on train."""
+    X = evaluator.features("train", pool)
+    y = evaluator.splits.labels("train")
+    scores = np.array([score(X[:, j], y) for j in range(X.shape[1])])
     order = np.argsort(-np.nan_to_num(scores, nan=-np.inf), kind="stable")[:n]
     return [pool[i] for i in order]
 
 
 def mi_select(pool, evaluator, n: int) -> list[FeatureFrame]:
-    X, y = _train_xy(pool, evaluator)
     task = evaluator.splits.task
-    scores = np.array([mutual_information(X[:, j], y, task=task)
-                       for j in range(X.shape[1])])
-    return _top(pool, scores, n)
+    return _top(pool, evaluator,
+                lambda x, y: mutual_information(x, y, task=task), n)
 
 
-def chi2_statistic(x: np.ndarray, y: np.ndarray, n_bins: int = 8) -> float:
+def chi2_statistic(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson χ² of the (binned feature × class) contingency table."""
-    bx = _bin_feature(x, n_bins)
+    bx = _bin_feature(x, N_BINS)
     _, by = np.unique(y, return_inverse=True)
     ux = np.unique(bx)
     k = by.max() + 1
@@ -58,12 +57,10 @@ def chi2_statistic(x: np.ndarray, y: np.ndarray, n_bins: int = 8) -> float:
 def chi2_select(pool, evaluator, n: int) -> list[FeatureFrame]:
     if evaluator.splits.task == "regression":
         raise NotApplicableError("Chi2 selector is classification-only")
-    X, y = _train_xy(pool, evaluator)
-    scores = np.array([chi2_statistic(X[:, j], y) for j in range(X.shape[1])])
-    return _top(pool, scores, n)
+    return _top(pool, evaluator, chi2_statistic, n)
 
 
-def gini_gain(x: np.ndarray, y: np.ndarray, n_thresholds: int = 16) -> float:
+def gini_gain(x: np.ndarray, y: np.ndarray) -> float:
     """Best single-split Gini impurity decrease of feature x."""
     x = np.nan_to_num(np.asarray(x, dtype=float), nan=0.0)
     _, yi = np.unique(y, return_inverse=True)
@@ -80,7 +77,7 @@ def gini_gain(x: np.ndarray, y: np.ndarray, n_thresholds: int = 16) -> float:
     total = np.bincount(yi, minlength=k).astype(float)
     parent = gini(total)
     best = 0.0
-    for t in np.unique(np.quantile(x, np.linspace(0, 1, n_thresholds + 1)[1:-1])):
+    for t in np.unique(np.quantile(x, np.linspace(0, 1, GINI_THRESHOLDS + 1)[1:-1])):
         m = x <= t
         nl = int(m.sum())
         if nl == 0 or nl == n:
@@ -94,6 +91,4 @@ def gini_gain(x: np.ndarray, y: np.ndarray, n_thresholds: int = 16) -> float:
 def gini_select(pool, evaluator, n: int) -> list[FeatureFrame]:
     if evaluator.splits.task == "regression":
         raise NotApplicableError("Gini selector is classification-only")
-    X, y = _train_xy(pool, evaluator)
-    scores = np.array([gini_gain(X[:, j], y) for j in range(X.shape[1])])
-    return _top(pool, scores, n)
+    return _top(pool, evaluator, gini_gain, n)

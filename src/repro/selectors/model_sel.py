@@ -9,35 +9,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.evaluator import DownstreamEvaluator
-from repro.core.executor import FeatureFrame
 from repro.models.gbdt import GBDT
 from repro.models.logistic import LogisticRegression
 
 
-def _full_matrix(pool: list[FeatureFrame], evaluator: DownstreamEvaluator):
+def _top_by_importance(pool, evaluator: DownstreamEvaluator, model, n: int):
+    """Fit ``model`` on base + pool (train split) and keep the ``n`` pooled
+    features it ranks most important."""
     s = evaluator.splits
-    tr = s.train
-    base = tr[list(s.base_features)].to_numpy(dtype=float)
-    F = np.column_stack([evaluator.feature_on(tr, f) for f in pool])
-    X = np.nan_to_num(np.hstack([base, F]), nan=0.0)
-    return X, tr[s.label].to_numpy(), base.shape[1]
-
-
-def _top_by_importance(pool, imps: np.ndarray, n_base: int, n: int):
-    pooled = imps[n_base:]
+    model.fit(evaluator.design("train", pool), s.labels("train"))
+    pooled = model.feature_importances()[len(s.base_features):]
     order = np.argsort(-pooled, kind="stable")[:n]
     return [pool[i] for i in order]
 
 
 def lr_importance_select(pool, evaluator, n: int, *, seed: int = 0):
-    X, y, n_base = _full_matrix(pool, evaluator)
-    task = evaluator.splits.task
-    m = LogisticRegression(task=task, seed=seed).fit(X, y)
-    return _top_by_importance(pool, m.feature_importances(), n_base, n)
+    m = LogisticRegression(task=evaluator.splits.task, seed=seed)
+    return _top_by_importance(pool, evaluator, m, n)
 
 
 def gbdt_importance_select(pool, evaluator, n: int, *, seed: int = 0):
-    X, y, n_base = _full_matrix(pool, evaluator)
-    task = evaluator.splits.task
-    m = GBDT(task=task, n_rounds=20, seed=seed).fit(X, y)
-    return _top_by_importance(pool, m.feature_importances(), n_base, n)
+    m = GBDT(task=evaluator.splits.task, n_rounds=20, seed=seed)
+    return _top_by_importance(pool, evaluator, m, n)

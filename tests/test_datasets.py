@@ -43,10 +43,6 @@ class TestSchema:
         for c in b.base_features:
             assert np.issubdtype(b.D_pandas[c].dtype, np.number), c
 
-    def test_spark_and_pandas_D_agree(self, bundles, name):
-        b = bundles[name]
-        assert b.D.count() == len(b.D_pandas)
-
     def test_deterministic(self, spark, bundles, name):
         b2 = make_dataset(name, spark, scale=SCALE, seed=7)
         assert b2.D_pandas.equals(bundles[name].D_pandas)

@@ -49,22 +49,24 @@ def _feature(D: pd.DataFrame, col: str, name: str) -> FeatureFrame:
 
 class TestMergeFeatures:
     def test_left_join_and_fill(self):
-        base = pd.DataFrame({"k": [1, 2, 3], "x": [0.0, 0.0, 0.0]})
-        f = FeatureFrame("f1", ("k",),
-                         pd.DataFrame({"k": [1, 3], "f1": [5.0, 7.0]}))
+        base = pd.DataFrame({"k": [1, 2, 3, 4, 5], "x": [0.0] * 5})
+        f = FeatureFrame("f1", ("k",), pd.DataFrame(
+            {"k": [1, 3, 4, 5], "f1": [5.0, 7.0, np.nan, -np.inf]}))
         out = merge_features(base, [f])
-        assert list(out["f1"]) == [5.0, 0.0, 7.0]  # absent key filled with 0
+        # absent key 2 and the NULL aggregate of present key 4 both read 0;
+        # inf is left for the model-input step to clamp
+        assert out[:, 0].tolist() == [5.0, 0.0, 7.0, 0.0, -np.inf]
 
     def test_composite_key_merge(self):
         base = pd.DataFrame({"a": [1, 1], "b": [1, 2], "x": [0, 0]})
         f = FeatureFrame("g", ("a", "b"),
                          pd.DataFrame({"a": [1], "b": [2], "g": [9.0]}))
         out = merge_features(base, [f])
-        assert list(out["g"]) == [0.0, 9.0]
+        assert out[:, 0].tolist() == [0.0, 9.0]
 
     def test_no_features_noop(self):
         base = pd.DataFrame({"k": [1]})
-        assert merge_features(base, []).equals(base)
+        assert merge_features(base, []).shape == (1, 0)
 
 
 class TestDownstreamEvaluator:
@@ -97,7 +99,7 @@ class TestDownstreamEvaluator:
         D, _ = _toy_table(100)
         s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
         ev = DownstreamEvaluator(s, "LR", seed=0)
-        x = ev.feature_on(s.train, _feature(D, "sig", "f"))
+        x = ev.features("train", [_feature(D, "sig", "f")])[:, 0]
         expected = D.set_index("k").loc[s.train["k"], "sig"].to_numpy()
         np.testing.assert_allclose(x, expected)
 

@@ -78,7 +78,7 @@ class TestAugment:
                       ("l_orderkey",))
         feats = [lineitem_executor.feature_frame(q_full, "f_full"),
                  lineitem_executor.feature_frame(q_sub, "f_sub")]
-        merged = merge_features(D, feats)
+        merged = D.assign(**dict(zip(["f_full", "f_sub"], merge_features(D, feats).T)))
         oracle_sql = (
             f"WITH q1 AS ({build_sql(q_full, 'li', 'duckdb')}), "
             f"q2 AS ({build_sql(q_sub, 'li', 'duckdb')}) "
@@ -98,4 +98,4 @@ class TestAugment:
         f = lineitem_executor.feature_frame(q, "cnt_n")
         missing_key = int(f.frame["l_orderkey"].max()) + 10_000
         D = pd.DataFrame({"l_orderkey": [missing_key]})
-        assert merge_features(D, [f])["cnt_n"].tolist() == [0.0]
+        assert merge_features(D, [f]).tolist() == [[0.0]]

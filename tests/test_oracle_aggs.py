@@ -116,3 +116,37 @@ def test_mad_hand_computed(spark):
     q = Query("MAD", "v", (), ("k",))
     row = spark.sql(build_sql(q, "madt", "spark")).collect()[0]
     assert row["feature"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("agg", ["SUM", "KURTOSIS", "MAD"])
+@pytest.mark.parametrize("dialect", ["spark", "duckdb"])
+def test_double_space_literal_matches_its_rows(spark, agg, dialect):
+    """A string literal reaches the engine as written: 'Acme  Co' (two
+    spaces) selects its own rows, not those of 'Acme Co'. Expected rows come
+    from pandas, not from another rendering of the same query."""
+    import duckdb
+    import pandas as pd
+    pdf = pd.DataFrame({
+        "k": [1, 1, 1, 1, 2, 2, 2, 2, 2],
+        "brand": ["Acme  Co"] * 4 + ["Acme Co"] * 5,
+        "v": [1.0, 2.0, 4.0, 9.0, 3.0, 5.0, 6.0, 10.0, 20.0],
+    })
+    q = Query(agg, "v", (Predicate("brand", "eq", "string", value="Acme  Co"),), ("k",))
+    sql = build_sql(q, "dsp", dialect)
+    assert "'Acme  Co'" in sql
+    if dialect == "spark":
+        spark.createDataFrame(pdf).createOrReplaceTempView("dsp")
+        got = spark.sql(sql).toPandas()
+    else:
+        with duckdb.connect() as con:
+            con.register("dsp", pdf)
+            got = con.execute(sql).fetchdf()
+    v = pdf.loc[pdf.brand == "Acme  Co", "v"]
+    dev = v - v.mean()
+    expected = {
+        "SUM": v.sum(),
+        "KURTOSIS": (dev ** 4).mean() / (dev ** 2).mean() ** 2 - 3,
+        "MAD": (v - v.median()).abs().median(),
+    }[agg]
+    assert got["k"].tolist() == [1]
+    assert got["feature"].iloc[0] == pytest.approx(expected)

@@ -4,7 +4,6 @@ Runs the full grid once (pedantic rounds=1) at REPRO_SCALE and writes
 results/table6.csv; the asserted invariants pin the paper's qualitative
 shape where it is stable under one seeded run.
 """
-import numpy as np
 import pytest
 
 from repro.experiments import run_table6
@@ -14,7 +13,7 @@ from repro.experiments import run_table6
 def test_bench_table6(spark, benchmark):
     df = benchmark.pedantic(lambda: run_table6(spark), rounds=1, iterations=1)
     assert df["value"].notna().sum() > 0
-    globals()["_check_6"](df)
+    _check_6(df)
 
 
 def _check_6(df):

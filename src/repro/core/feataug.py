@@ -27,7 +27,6 @@ from repro.core.proxy import make_proxy
 from repro.core.qti import identify_templates
 from repro.core.space import QuerySpace, lift_config, profile_domains
 from repro.core.template import QueryTemplate
-from repro.core.tpe import run_tpe
 from repro.datasets.base import DatasetBundle
 
 _uid = itertools.count()
@@ -58,12 +57,6 @@ class DatasetContext:
         return DownstreamEvaluator(self.splits, model_name,
                                    seed=self.seed if seed is None else seed)
 
-    def proxy(self, name: str, *, seed: int = 0):
-        s = self.splits
-        return make_proxy(name, task=s.task, base_X=s.base("train"),
-                          X_valid_base=s.base("valid"), y_valid=s.labels("valid"),
-                          seed=seed)
-
     def close(self) -> None:
         self.executor.unpersist()
 
@@ -91,15 +84,13 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     """
     bundle, budget = ctx.bundle, ctx.budget
     evaluator = ctx.evaluator(model_name, seed=seed)
-    proxy_fn = ctx.proxy(proxy, seed=seed)
+    proxy_fn = make_proxy(proxy, evaluator)
     run_tag = next(_uid)
     universe = tuple(bundle.where_attrs)
 
     stats: dict = {"proxy": proxy, "use_qti": use_qti, "use_warmup": use_warmup}
     n_queries0 = ctx.executor.n_queries
     searchers: dict[tuple, PoolSearcher] = {}
-    # combo → its best (config, −proxy) trials from QTI's node evaluation
-    node_best: dict[tuple, list] = {}
 
     def get_searcher(combo) -> PoolSearcher:
         combo = tuple(combo)
@@ -122,19 +113,13 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
             rng = _combo_rng(seed, combo, universe)
             warm = []
             for drop in combo:
-                parent = tuple(a for a in combo if a != drop)
-                if parent in node_best:
-                    ps = searchers[parent].space
-                    for cfg, loss in node_best[parent][:2]:
-                        lifted = lift_config(ps, s.space, cfg)
-                        warm.append((lifted, -s.proxy_score(lifted)))
-            trials = run_tpe(
-                lambda cfg: -s.proxy_score(cfg), s.space.shape,
-                budget.qti_samples, seed=int(rng.integers(0, 2**31)),
-                warm_start=warm,
-                n_startup=0 if warm else max(2, budget.qti_samples // 2),
-            )
-            node_best[combo] = sorted(trials, key=lambda t: t[1])[:3]
+                parent = searchers.get(tuple(a for a in combo if a != drop))
+                if parent is not None:
+                    warm += [lift_config(parent.space, s.space, cfg)
+                             for cfg in parent.best[:2]]
+            trials = s.proxy_round(budget.qti_samples,
+                                   seed=int(rng.integers(0, 2**31)), warm=warm,
+                                   n_startup=max(2, budget.qti_samples // 2))
             return -min(loss for _, loss in trials)
 
         combos, qti_stats = identify_templates(
@@ -153,7 +138,6 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
         pairs, _ = generate_queries(
             get_searcher(combo), budget, seed=seed + 101 * (i + 1),
             use_warmup=use_warmup, top_m=per_pool,
-            proxy_warm=node_best.get(tuple(combo)),
         )
         chosen.extend(pairs)
 

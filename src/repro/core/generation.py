@@ -2,10 +2,12 @@
 
 Two TPE rounds over the query pool of a fixed template:
 
-1. **Warm-Up Phase** — TPE maximises a *low-cost proxy* (default MI between
-   the generated feature and the labels). The top-k distinct proxy queries
-   are then evaluated with the real downstream model and become the seeded
-   surrogate observations.
+1. **Warm-Up Phase** — a proxy round (``PoolSearcher.proxy_round``): TPE
+   maximises a *low-cost proxy* (default MI between the generated feature
+   and the labels), warm-started from the pool's best proxy queries so far
+   (QTI's node evaluation runs the same round). The top-k distinct proxy
+   queries are then evaluated with the real downstream model and become the
+   seeded surrogate observations.
 2. **Query-Generation Phase** — TPE minimises the *real* validation loss,
    warm-started from those observations.
 
@@ -22,7 +24,7 @@ from repro.core.config import BudgetProfile
 from repro.core.evaluator import DownstreamEvaluator
 from repro.core.executor import FeatureFrame, QueryExecutor
 from repro.core.space import QuerySpace
-from repro.core.tpe import run_tpe
+from repro.core.tpe import N_STARTUP, Config, Trial, run_tpe
 
 
 @dataclass
@@ -35,7 +37,8 @@ class PoolSearcher:
     """Decode→execute→proxy/real-eval per config for one pool.
 
     Proxy scores and real losses are memoised per config; query results
-    are memoised by the executor's SQL-text cache.
+    are memoised by the executor's SQL-text cache. ``best`` holds the
+    configs of the three best trials of the latest proxy round.
     """
 
     def __init__(self, space: QuerySpace, executor: QueryExecutor,
@@ -45,6 +48,7 @@ class PoolSearcher:
         self.evaluator = evaluator
         self.proxy_fn = proxy_fn
         self.prefix = prefix
+        self.best: list[Config] = []
         self._proxy: dict[tuple, float] = {}
         self._real: dict[tuple, float] = {}
 
@@ -55,11 +59,18 @@ class PoolSearcher:
     def proxy_score(self, cfg: tuple) -> float:
         """Higher = better; degenerate features score 0."""
         if cfg not in self._proxy:
-            f, ev = [self.frame(cfg)], self.evaluator
-            self._proxy[cfg] = float(self.proxy_fn(
-                ev.features("train", f)[:, 0], ev.splits.labels("train"),
-                ev.features("valid", f)[:, 0]))
+            self._proxy[cfg] = float(self.proxy_fn(self.frame(cfg)))
         return self._proxy[cfg]
+
+    def proxy_round(self, n_iters: int, *, seed: int, warm: list[Config],
+                    n_startup: int = N_STARTUP) -> list[Trial]:
+        """A short TPE search maximising the proxy in this pool, seeded with
+        the ``warm`` configs; returns its (config, −proxy) trials."""
+        trials = run_tpe(lambda cfg: -self.proxy_score(cfg), self.space.shape,
+                         n_iters, seed=seed, n_startup=n_startup,
+                         warm_start=[(c, -self.proxy_score(c)) for c in warm])
+        self.best = [c for c, _ in sorted(trials, key=lambda t: t[1])[:3]]
+        return trials
 
     def real_loss(self, cfg: tuple) -> float:
         if cfg not in self._real:
@@ -76,34 +87,26 @@ class PoolSearcher:
 
 
 def generate_queries(searcher: PoolSearcher, budget: BudgetProfile, *, seed: int,
-                     use_warmup: bool = True, top_m: int | None = None,
-                     proxy_warm: list | None = None
+                     use_warmup: bool = True, top_m: int | None = None
                      ) -> tuple[list[tuple[FeatureFrame, float]], GenerationStats]:
     """Search one query pool; return the top-m (feature, real-loss) pairs.
 
-    ``proxy_warm`` optionally seeds the warm-up round's surrogate with
-    (config, −proxy) observations already collected for this pool by the
-    QTI component's node evaluations.
+    The warm-up round starts from ``searcher.best``, the best proxy queries
+    the QTI component's node evaluation found in this pool (if any).
     """
     top_m = top_m if top_m is not None else budget.queries_per_template
     shape = searcher.space.shape
 
     if use_warmup:
-        # Round 1: maximise the proxy (negate — run_tpe minimises).
-        proxy_trials = run_tpe(
-            lambda cfg: -searcher.proxy_score(cfg), shape,
-            budget.warmup_iters, seed=seed,
-            warm_start=proxy_warm,
-            n_startup=0 if proxy_warm else 6,
-        )
+        proxy_trials = searcher.proxy_round(budget.warmup_iters, seed=seed,
+                                            warm=searcher.best)
         # Top-k distinct configs by proxy, real-evaluated → seed surrogate.
         seen: set[tuple] = set()
         ranked = [c for c, _ in sorted(proxy_trials, key=lambda t: t[1])
                   if not (c in seen or seen.add(c))]
         warm = [(cfg, searcher.real_loss(cfg)) for cfg in ranked[: budget.warmup_topk]]
         trials = run_tpe(searcher.real_loss, shape, budget.gen_iters,
-                         seed=seed + 1, warm_start=warm,
-                         n_startup=0)  # the seed observations replace startup
+                         seed=seed + 1, warm_start=warm)
     else:
         trials = run_tpe(searcher.real_loss, shape,
                          budget.warmup_topk + budget.gen_iters, seed=seed + 1)

@@ -1,7 +1,8 @@
 """Low-cost proxies for feature quality (§V-C warm-up, §VI-C1, §VII-E2).
 
 Three proxies from the paper's Table VIII, all returning *higher = better*
-scores for a single candidate feature column against the labels:
+scores for a single candidate feature against the labels; ``make_proxy``
+reads the feature's columns through the downstream evaluator:
 
 - ``MI``  — binned mutual information (base 2); features are quantile-binned
   (missing values form their own bin), regression labels are quantile-binned
@@ -70,32 +71,33 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return abs(rho) if np.isfinite(rho) else 0.0
 
 
-def make_proxy(name: str, *, task: str, base_X: np.ndarray | None = None,
-               y_valid: np.ndarray | None = None, X_valid_base: np.ndarray | None = None,
-               seed: int = 0):
-    """Build ``proxy(x_train, y_train[, x_valid]) -> score`` (higher=better).
+def make_proxy(name: str, evaluator):
+    """Build ``proxy(feature) -> score`` (higher = better) for one candidate
+    :class:`~repro.core.executor.FeatureFrame`, read through ``evaluator``.
 
-    ``MI`` and ``SC`` only use the training rows. ``LR`` trains a logistic /
-    ridge model on base features + candidate and scores the validation rows
-    (needs the ``base_X``/``X_valid_base``/``y_valid`` context).
+    ``MI`` and ``SC`` read only the training rows. ``LR`` trains a logistic /
+    ridge model on base features + candidate and scores the validation rows.
     """
+    splits = evaluator.splits
+    task = splits.task
     if name == "MI":
-        return lambda x, y, xv=None: mutual_information(x, y, task=task)
+        return lambda f: mutual_information(
+            evaluator.features("train", [f])[:, 0], splits.labels("train"), task=task)
     if name == "SC":
-        return lambda x, y, xv=None: spearman(x, y)
+        return lambda f: spearman(evaluator.features("train", [f])[:, 0],
+                                  splits.labels("train"))
     if name == "LR":
         from repro.models.logistic import LogisticRegression
         from repro.models.metrics import task_loss
 
-        if base_X is None or y_valid is None or X_valid_base is None:
-            raise ValueError("LR proxy needs base_X, X_valid_base and y_valid")
-        lr_task = "regression" if task == "regression" else task
+        def stacked(part, f):
+            return np.column_stack([splits.base(part), np.nan_to_num(
+                evaluator.features(part, [f]), nan=0.0)])
 
-        def _lr_proxy(x, y, xv):
-            X = np.column_stack([base_X, np.nan_to_num(x, nan=0.0)])
-            Xv = np.column_stack([X_valid_base, np.nan_to_num(xv, nan=0.0)])
-            m = LogisticRegression(task=lr_task, n_iter=80, seed=seed).fit(X, y)
-            return -task_loss(task, y_valid, m, Xv)
+        def _lr_proxy(f):
+            m = LogisticRegression(task=task, n_iter=80).fit(
+                stacked("train", f), splits.labels("train"))
+            return -task_loss(task, splits.labels("valid"), m, stacked("valid", f))
 
         return _lr_proxy
     raise ValueError(f"unknown proxy {name!r} (expected MI, SC or LR)")

@@ -157,9 +157,6 @@ class QuerySpace:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(d) for d in self.dims)
 
-    def size(self) -> int:
-        return int(np.prod([len(d) for d in self.dims]))
-
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(int(rng.integers(0, len(d))) for d in self.dims)
 

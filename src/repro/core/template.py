@@ -34,10 +34,6 @@ class QueryTemplate:
             if agg not in PAPER_AGGS:
                 raise ValueError(f"unknown aggregation function {agg!r}")
 
-    @property
-    def combo(self) -> frozenset:
-        return frozenset(self.where_attrs)
-
 
 def one_hot(combo, attr_universe: tuple[str, ...]) -> np.ndarray:
     """Encode a WHERE-attribute combination as the paper's one-hot vector.

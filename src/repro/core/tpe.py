@@ -34,10 +34,13 @@ GAMMA = 0.15
 N_CANDIDATES = 24
 #: Laplace pseudo-count per option
 PRIOR = 1.0
+#: random suggestions before the densities take over, in a cold-started run
+N_STARTUP = 6
 
 
 class TPE:
-    def __init__(self, shape: tuple[int, ...], *, seed: int = 0, n_startup: int = 6):
+    def __init__(self, shape: tuple[int, ...], *, seed: int = 0,
+                 n_startup: int = N_STARTUP):
         if any(s < 1 for s in shape):
             raise ValueError("every dimension needs at least one option")
         self.shape = shape
@@ -95,15 +98,17 @@ class TPE:
 
 def run_tpe(objective, shape: tuple[int, ...], n_iters: int, *, seed: int = 0,
             warm_start: list[Trial] | None = None,
-            n_startup: int = 6) -> list[Trial]:
+            n_startup: int = N_STARTUP) -> list[Trial]:
     """Drive a TPE loop: ``objective(config) -> loss`` (lower is better).
 
     Returns the full trial history (warm-start observations included).
+    A warm start replaces the ``n_startup`` random suggestions: the seeded
+    observations already give the densities something to model.
     Objective values that are NaN are recorded as +inf so broken
     configurations (e.g. degenerate queries) are never "good".
     """
-    tpe = TPE(shape, seed=seed, n_startup=n_startup)
     trials: list[Trial] = list(warm_start or [])
+    tpe = TPE(shape, seed=seed, n_startup=0 if trials else n_startup)
     for _ in range(n_iters):
         cfg = tpe.suggest(trials)
         loss = float(objective(cfg))

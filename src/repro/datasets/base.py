@@ -29,20 +29,12 @@ class DatasetBundle:
     agg_attrs: tuple[str, ...]
     where_attrs: tuple[str, ...]
     task: str                      # "binary" | "multiclass" | "regression"
-    relationship: str = "one-to-many"
     aggs: tuple[str, ...] = PAPER_AGGS
     info: dict = field(default_factory=dict)
 
     def splits(self, seed: int = 0) -> TableSplits:
         return make_splits(self.D_pandas, self.keys, self.base_features,
                            self.task, seed=seed)
-
-    @property
-    def n_r_rows(self) -> int:
-        if "n_r_rows" not in self.info:
-            self.info["n_r_rows"] = self.R.count()
-        return self.info["n_r_rows"]
-
 
 def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """createDataFrame with stable column order (Arrow path is enabled)."""

@@ -101,6 +101,5 @@ def household(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Data
         where_attrs=("education_years", "overcrowding", "monthly_rent",
                      "floor_quality", "water", "tablets"),
         task="multiclass",
-        relationship="one-to-one",
         info={"n_tables": 1, "planted": "thresholds on relevant-table columns"},
     )

@@ -27,7 +27,7 @@ def table1_rows(spark, *, scale: float = 0.6,
         rows.append({
             "dataset": b.name,
             "n_tables": b.info.get("n_tables", 2),
-            "rows_in_R": b.n_r_rows,
+            "rows_in_R": b.R.count(),
             "train/valid/test": f"{len(s.train)}/{len(s.valid)}/{len(s.test)}",
         })
     return pd.DataFrame(rows)

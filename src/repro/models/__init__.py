@@ -10,7 +10,7 @@ libraries are installed offline, so this package reimplements them:
 - :mod:`repro.models.gbdt` — second-order gradient boosting (XGB stand-in),
 - :mod:`repro.models.deepfm` — factorization machine + MLP with manual
   backprop,
-- :mod:`repro.models.metrics` — AUC / macro-F1 / RMSE / logloss.
+- :mod:`repro.models.metrics` — AUC / macro-F1 / RMSE.
 
 All models follow a scikit-style ``fit(X, y)`` / ``predict(X)`` /
 ``predict_proba(X)`` API on dense ``numpy`` arrays and are deterministic in
@@ -20,7 +20,7 @@ from repro.models.deepfm import DeepFM
 from repro.models.forest import RandomForest
 from repro.models.gbdt import GBDT
 from repro.models.logistic import LogisticRegression
-from repro.models.metrics import auc_score, logloss, macro_f1, rmse
+from repro.models.metrics import auc_score, macro_f1, rmse
 
 MODEL_NAMES = ("LR", "XGB", "RF", "DeepFM")
 
@@ -50,7 +50,6 @@ __all__ = [
     "MODEL_NAMES",
     "RandomForest",
     "auc_score",
-    "logloss",
     "macro_f1",
     "make_model",
     "rmse",

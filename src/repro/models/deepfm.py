@@ -16,8 +16,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
 
 
+#: embedding size per input feature
+EMBED_DIM = 4
+#: width of the MLP's hidden layer
+HIDDEN = 16
+#: mini-batch rows per Adam step
+BATCH_SIZE = 256
+#: Adam step size
+LR = 0.01
+#: L2 penalty on the weights
+L2 = 1e-4
+
+
 class _Adam:
-    def __init__(self, shapes, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+    def __init__(self, shapes, lr=LR, b1=0.9, b2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
@@ -34,18 +46,11 @@ class _Adam:
 
 
 class DeepFM:
-    def __init__(self, task: str = "binary", *, embed_dim: int = 4, hidden: int = 16,
-                 epochs: int = 15, batch_size: int = 256, lr: float = 0.01,
-                 l2: float = 1e-4, seed: int = 0):
+    def __init__(self, task: str = "binary", *, epochs: int = 15, seed: int = 0):
         if task == "multiclass":
             raise ValueError("DeepFM only works for binary/regression tasks (per paper §VII-C)")
         self.task = task
-        self.embed_dim = embed_dim
-        self.hidden = hidden
         self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.l2 = l2
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DeepFM":
@@ -55,7 +60,7 @@ class DeepFM:
         self._sd[self._sd < 1e-12] = 1.0
         Xs = (X - self._mu) / self._sd
         n, d = Xs.shape
-        k, h = self.embed_dim, self.hidden
+        k, h = EMBED_DIM, HIDDEN
         rng = np.random.default_rng(self.seed)
         if self.task == "binary":
             self.classes_ = np.array(sorted(np.unique(y)))
@@ -69,18 +74,18 @@ class DeepFM:
         self.W2 = rng.normal(0, np.sqrt(2.0 / h), (h, 1))
         self.b2 = np.zeros(1)
         params = [self.w, self.b, self.V, self.W1, self.b1, self.W2, self.b2]
-        opt = _Adam([p.shape for p in params], lr=self.lr)
+        opt = _Adam([p.shape for p in params])
         for _ in range(self.epochs):
             order = rng.permutation(n)
-            for s in range(0, n, self.batch_size):
-                idx = order[s : s + self.batch_size]
+            for s in range(0, n, BATCH_SIZE):
+                idx = order[s : s + BATCH_SIZE]
                 self._step(Xs[idx], y[idx], params, opt)
         return self
 
     def _forward(self, X):
         # returns (raw score, cache for backprop)
         n, d = X.shape
-        k = self.embed_dim
+        k = EMBED_DIM
         lin = X @ self.w + self.b[0]
         E = X[:, :, None] * self.V[None, :, :]          # n × d × k
         S = E.sum(axis=1)                               # Σ_i x_i v_i
@@ -93,7 +98,7 @@ class DeepFM:
 
     def _step(self, X, y, params, opt):
         n, d = X.shape
-        k = self.embed_dim
+        k = EMBED_DIM
         raw, (X_, E, S, Z, H) = self._forward(X)
         if self.task == "binary":
             p = _sigmoid(raw)
@@ -101,7 +106,7 @@ class DeepFM:
         else:
             dr = (raw - y) / n
         # linear
-        gw = X.T @ dr + self.l2 * self.w
+        gw = X.T @ dr + L2 * self.w
         gb = np.array([dr.sum()])
         # FM: d fm/d v_ik = x_i (S_k − x_i v_ik)
         #   → gV[i,k] = Σ_n dr_n x_ni S_nk − (Σ_n dr_n x_ni²) V_ik
@@ -110,13 +115,13 @@ class DeepFM:
         # deep path
         dH = dr[:, None] @ self.W2.T
         dH[H <= 0] = 0.0
-        gW2 = H.T @ dr[:, None] + self.l2 * self.W2
+        gW2 = H.T @ dr[:, None] + L2 * self.W2
         gb2 = np.array([dr.sum()])
-        gW1 = Z.T @ dH + self.l2 * self.W1
+        gW1 = Z.T @ dH + L2 * self.W1
         gb1 = dH.sum(axis=0)
         dZ = dH @ self.W1.T                             # n × (d·k)
         dE = dZ.reshape(n, d, k)
-        gV += (X[:, :, None] * dE).sum(axis=0) + self.l2 * self.V
+        gV += (X[:, :, None] * dE).sum(axis=0) + L2 * self.V
         # the linear/FM x-gradient also flows to w via gw above only; done
         opt.step(params, [gw, gb, gV, gW1, gb1, gW2, gb2])
 

@@ -65,7 +65,6 @@ def test_one_to_many_relationship(bundles, name):
 def test_one_to_one_relationship(bundles, name):
     b = bundles[name]
     assert b.R.count() == len(b.D_pandas)
-    assert b.relationship == "one-to-one"
 
 
 class TestPlantedSignal:

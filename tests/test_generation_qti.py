@@ -2,17 +2,21 @@
 import numpy as np
 import pytest
 
+import repro.core.evaluator as evaluator_mod
 from repro.core.config import TINY
 from repro.core.generation import PoolSearcher, generate_queries
+from repro.core.proxy import make_proxy
+
+
+def _searcher(ctx, combo, prefix) -> PoolSearcher:
+    evaluator = ctx.evaluator("LR")
+    return PoolSearcher(ctx.space(combo), ctx.executor, evaluator,
+                        make_proxy("MI", evaluator), prefix=prefix)
 
 
 @pytest.fixture()
 def searcher(tmall_ctx):
-    evaluator = tmall_ctx.evaluator("LR")
-    proxy = tmall_ctx.proxy("MI")
-    combo = ("action_type", "ts_day")
-    return PoolSearcher(tmall_ctx.space(combo), tmall_ctx.executor,
-                        evaluator, proxy, prefix="tgen")
+    return _searcher(tmall_ctx, ("action_type", "ts_day"), "tgen")
 
 
 class TestPoolSearcher:
@@ -35,6 +39,14 @@ class TestPoolSearcher:
         cfg = searcher.space.sample(np.random.default_rng(2))
         assert searcher.proxy_score(cfg) >= 0.0
 
+    def test_mi_proxy_aligns_train_split_only(self, searcher, monkeypatch):
+        calls = []
+        merge = evaluator_mod.merge_features
+        monkeypatch.setattr(evaluator_mod, "merge_features",
+                            lambda base, feats: calls.append(len(base)) or merge(base, feats))
+        searcher.proxy_score(searcher.space.sample(np.random.default_rng(3)))
+        assert calls == [len(searcher.evaluator.splits.train)]
+
 
 class TestGenerateQueries:
     def test_warmup_path(self, searcher):
@@ -46,19 +58,28 @@ class TestGenerateQueries:
         # real evals = warmup_topk seeds + gen_iters (minus memo repeats)
         assert stats.n_real_evals <= TINY.warmup_topk + TINY.gen_iters
 
+    def test_warmup_real_evaluates_best(self, tmall_ctx):
+        # a config handed over in ``best`` (as QTI does) with a dominant
+        # proxy score must reach the real-loss round
+        s = _searcher(tmall_ctx, ("action_type", "ts_day"), "tbest")
+        target = s.space.sample(np.random.default_rng(7))
+        target_sql = s.frame(target).sql
+        s.proxy_fn = lambda f: 1.0 if f.sql == target_sql else 0.0
+        s.best = [target]
+        real, real_loss = [], s.real_loss
+        s.real_loss = lambda cfg: real.append(cfg) or real_loss(cfg)
+        generate_queries(s, TINY, seed=0)
+        assert target in real
+
     def test_nowu_path_skips_proxy(self, tmall_ctx):
-        s = PoolSearcher(tmall_ctx.space(("category",)), tmall_ctx.executor,
-                         tmall_ctx.evaluator("LR"), tmall_ctx.proxy("MI"),
-                         prefix="tnowu")
+        s = _searcher(tmall_ctx, ("category",), "tnowu")
         pairs, stats = generate_queries(s, TINY, seed=0, use_warmup=False)
         assert stats.n_proxy_evals == 0
         assert len(pairs) >= 1
 
     def test_deterministic(self, tmall_ctx):
         def run(prefix):
-            s = PoolSearcher(tmall_ctx.space(("brand",)), tmall_ctx.executor,
-                             tmall_ctx.evaluator("LR"), tmall_ctx.proxy("MI"),
-                             prefix=prefix)
+            s = _searcher(tmall_ctx, ("brand",), prefix)
             pairs, _ = generate_queries(s, TINY, seed=5)
             return [(f.sql, round(l, 12)) for f, l in pairs]
 

@@ -4,8 +4,6 @@ import pytest
 
 from repro.models.metrics import (
     auc_score,
-    higher_is_better,
-    logloss,
     macro_f1,
     metric_name,
     rmse,
@@ -65,14 +63,6 @@ class TestRMSE:
         assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
 
 
-class TestLogloss:
-    def test_confident_correct_is_small(self):
-        assert logloss([1, 0], [0.99, 0.01]) < 0.02
-
-    def test_clipping_no_inf(self):
-        assert np.isfinite(logloss([1], [0.0]))
-
-
 class TestTaskPlumbing:
     class _Stub:
         def predict_proba(self, X):
@@ -95,9 +85,6 @@ class TestTaskPlumbing:
                                            ("regression", "RMSE")])
     def test_metric_name(self, task, name):
         assert metric_name(task) == name
-
-    def test_higher_is_better(self):
-        assert higher_is_better("binary") and not higher_is_better("regression")
 
     def test_unknown_task_raises(self):
         with pytest.raises(ValueError):

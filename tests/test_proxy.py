@@ -1,7 +1,10 @@
 """Low-cost proxies: MI, Spearman, LR."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core.evaluator import DownstreamEvaluator, make_splits
+from repro.core.executor import FeatureFrame
 from repro.core.proxy import _bin_feature, make_proxy, mutual_information, spearman
 
 
@@ -68,35 +71,39 @@ class TestSpearman:
         assert spearman(rng.normal(0, 1, 2000), rng.normal(0, 1, 2000)) < 0.1
 
 
+def _evaluator(n=600, seed=0):
+    """An LR evaluator on a toy binary table, plus a signal and a noise
+    feature keyed like it."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    D = pd.DataFrame({"k": np.arange(n), "b1": rng.normal(0, 1, n),
+                      "b2": rng.normal(0, 1, n), "label": y})
+    ev = DownstreamEvaluator(make_splits(D, ("k",), ("b1", "b2"), "binary"), "LR")
+    sig = y + 0.2 * rng.normal(0, 1, n)
+    feats = [FeatureFrame(name, ("k",), pd.DataFrame({"k": D.k, name: x}))
+             for name, x in (("sig", sig), ("noise", rng.normal(0, 1, n)))]
+    return ev, feats
+
+
 class TestMakeProxy:
     def test_mi_and_sc_callables(self):
-        rng = np.random.default_rng(0)
-        y = rng.integers(0, 2, 300)
-        x = y + 0.2 * rng.normal(0, 1, 300)
+        ev, (sig, noise) = _evaluator()
         for name in ("MI", "SC"):
-            p = make_proxy(name, task="binary")
-            assert p(x, y) > p(rng.normal(0, 1, 300), y)
+            p = make_proxy(name, ev)
+            assert p(sig) > p(noise)
 
-    def test_lr_requires_context(self):
-        with pytest.raises(ValueError):
-            make_proxy("LR", task="binary")
+    def test_mi_and_sc_read_the_train_column(self):
+        ev, (sig, _) = _evaluator()
+        x, y = ev.features("train", [sig])[:, 0], ev.splits.labels("train")
+        assert make_proxy("MI", ev)(sig) == mutual_information(x, y)
+        assert make_proxy("SC", ev)(sig) == spearman(x, y)
 
     def test_lr_scores_signal_higher(self):
-        rng = np.random.default_rng(4)
-        n = 400
-        base = rng.normal(0, 1, (n, 2))
-        y = (rng.normal(0, 1, n) > 0).astype(int)
-        x_sig = y + 0.2 * rng.normal(0, 1, n)
-        nv = 200
-        basev = rng.normal(0, 1, (nv, 2))
-        yv = (rng.normal(0, 1, nv) > 0).astype(int)
-        xv_sig = yv + 0.2 * rng.normal(0, 1, nv)
-        p = make_proxy("LR", task="binary", base_X=base,
-                       X_valid_base=basev, y_valid=yv)
-        s_sig = p(x_sig, y, xv_sig)
-        s_noise = p(rng.normal(0, 1, n), y, rng.normal(0, 1, nv))
-        assert s_sig > s_noise
+        ev, (sig, noise) = _evaluator(seed=4)
+        p = make_proxy("LR", ev)
+        assert p(sig) > p(noise)
 
     def test_unknown_raises(self):
+        ev, _ = _evaluator()
         with pytest.raises(ValueError):
-            make_proxy("XGB", task="binary")
+            make_proxy("XGB", ev)

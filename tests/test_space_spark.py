@@ -72,9 +72,6 @@ class TestQuerySpace:
         # None + 3 cat values; None + 5 grid points
         assert space.shape == (3, 1, 4, 6, 6, 2, 2)
 
-    def test_size(self, space):
-        assert space.size() == 3 * 1 * 4 * 6 * 6 * 2 * 2
-
     def test_sample_in_bounds(self, space):
         rng = np.random.default_rng(0)
         for _ in range(30):

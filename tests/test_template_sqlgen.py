@@ -16,7 +16,6 @@ class TestTemplate:
     def test_quadruple_fields(self):
         t = QueryTemplate(("SUM", "AVG"), ("price",), ("dept", "ts"), ("cname",))
         assert t.aggs == ("SUM", "AVG")
-        assert t.combo == frozenset({"dept", "ts"})
 
     def test_unknown_agg_rejected(self):
         with pytest.raises(ValueError):

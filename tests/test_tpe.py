@@ -70,6 +70,13 @@ class TestRunTPE:
         cold = run_tpe(f, shape, 15, seed=3)
         assert min(l for _, l in warm) <= min(l for _, l in cold)
 
+    def test_warm_start_replaces_random_startup(self):
+        shape = (6, 6, 6)
+        f = _planted_objective(shape, (1, 4, 2))
+        near = [((1, 4, 3), f((1, 4, 3))), ((0, 4, 2), f((0, 4, 2)))]
+        assert (run_tpe(f, shape, 8, seed=2, warm_start=near)
+                == run_tpe(f, shape, 8, seed=2, warm_start=near, n_startup=0))
+
     def test_history_includes_warm_start(self):
         f = _planted_objective((3, 3), (0, 0))
         seed_obs = [((2, 2), 4.0)]
